@@ -65,7 +65,7 @@ serve-soak:
 
 # Short race-mode smoke over the simd service stack (the CI leg): the
 # full simsrv suite exercises cancellation, panic quarantine, admission,
-# the footprint scheduler and template pool, and cross-process single-flight
+# the admission queue and template pool, and cross-process single-flight
 # on the shared disk cache — all under the race detector.
 simd-smoke:
 	$(GO) test -race -count=1 ./internal/simsrv/ ./internal/par/ ./internal/memo/...

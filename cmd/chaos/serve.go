@@ -32,8 +32,10 @@ import (
 //   - a sample of answers matches a cold in-process npb.Run of the same
 //     config exactly;
 //   - the typed counters conserve: every admitted request is accounted to
-//     exactly one outcome, the pool backstop never fires, and no template was
-//     quarantined (the shared snapshots survived every poisoned fork).
+//     exactly one outcome, the dispatch backstop never fires, and no template
+//     was quarantined (the shared snapshots survived every poisoned fork);
+//   - after Close, the admission queue is empty and holds no charge: no
+//     session leaked its slot or bytes.
 //
 // The memo is kept deliberately tiny so the soak's identical requests are
 // periodically evicted and re-simulated — byte-equality across the campaign
@@ -63,11 +65,12 @@ func serveSoak(ops int, seed uint64, verbose bool, cacheDir string) error {
 	go func() {
 		_ = httpSrv.Serve(ln)
 	}()
-	defer func() {
+	shutdown := func() {
 		srv.Drain()
 		_ = httpSrv.Shutdown(context.Background())
 		srv.Close()
-	}()
+	}
+	defer shutdown() // idempotent: the success path has shut down already
 	base := "http://" + ln.Addr().String()
 	hc := &http.Client{}
 
@@ -250,7 +253,7 @@ func serveSoak(ops int, seed uint64, verbose bool, cacheDir string) error {
 	// ... and the typed counters must conserve.
 	ctr := srv.Counters()
 	if ctr.PoolPanics != 0 {
-		return fmt.Errorf("pool backstop fired %d times; sessions must recover their own panics", ctr.PoolPanics)
+		return fmt.Errorf("dispatch backstop fired %d times; sessions must recover their own panics", ctr.PoolPanics)
 	}
 	if ctr.Quarantined != 0 {
 		return fmt.Errorf("%d templates quarantined: a poisoned fork reached the shared snapshot", ctr.Quarantined)
@@ -260,6 +263,12 @@ func serveSoak(ops int, seed uint64, verbose bool, cacheDir string) error {
 	}
 	if int(ctr.Panicked) != nPanics {
 		return fmt.Errorf("injected %d panics, session boundary recovered %d", nPanics, ctr.Panicked)
+	}
+	// ... and once closed, the admission queue holds no leaked charge.
+	shutdown()
+	if g := srv.Gauges(); g.SchedQueued != 0 || g.SchedRunning != 0 || g.SchedChargedBytes != 0 {
+		return fmt.Errorf("admission charge leaked after Close: %d queued, %d running, %d bytes charged",
+			g.SchedQueued, g.SchedRunning, g.SchedChargedBytes)
 	}
 
 	fmt.Printf("chaos -serve: %d ops against simd on %s: all answers bit-identical per config, sample matches cold runs\n",

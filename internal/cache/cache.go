@@ -10,6 +10,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -151,30 +152,47 @@ type Cache struct {
 	_ [(64 - unsafe.Sizeof(cacheFields{})%64) % 64]byte
 }
 
-// New builds a cache from cfg.
-func New(cfg Config) *Cache {
-	ls := cfg.LineSize
+// geometry derives cfg's line size, associativity and set count, or
+// reports why cfg has no packed set-indexed layout.
+func (cfg Config) geometry() (ls int64, assoc, sets int, err error) {
+	ls = cfg.LineSize
 	if ls == 0 {
 		ls = units.CacheLineSize
 	}
 	nLines := int(cfg.SizeBytes / ls)
 	if nLines <= 0 {
-		panic("cache: zero size")
+		return 0, 0, 0, errors.New("cache: zero size")
 	}
-	assoc := cfg.Ways
+	assoc = cfg.Ways
 	if assoc <= 0 || assoc > nLines {
 		assoc = nLines
 	}
-	sets := nLines / assoc
-	if sets*assoc != nLines {
-		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", nLines, assoc))
+	sets = nLines / assoc
+	switch {
+	case sets*assoc != nLines:
+		err = fmt.Errorf("cache: %d lines not divisible by %d ways", nLines, assoc)
+	case sets&(sets-1) != 0:
+		err = fmt.Errorf("cache: set count %d not a power of two", sets)
+	case assoc > maxAssoc:
+		err = fmt.Errorf("cache: associativity %d exceeds the packed-set limit of %d ways (give the config an explicit, hardware-like way count)", assoc, maxAssoc)
 	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
+	return ls, assoc, sets, err
+}
+
+// Validate reports whether New can build cfg: it rejects exactly the
+// configs New panics on.
+func (cfg Config) Validate() error {
+	_, _, _, err := cfg.geometry()
+	return err
+}
+
+// New builds a cache from cfg. It panics on a config Validate rejects.
+func New(cfg Config) *Cache {
+	ls, assoc, sets, err := cfg.geometry()
+	if err != nil {
+		panic(err.Error())
 	}
-	if assoc > maxAssoc {
-		panic(fmt.Sprintf("cache: associativity %d exceeds the packed-set limit of %d ways (give the config an explicit, hardware-like way count)", assoc, maxAssoc))
-	}
+	nLines := sets * assoc
 	shift := uint(0)
 	for 1<<shift != ls {
 		shift++

@@ -48,15 +48,15 @@ type slot struct {
 // "Single thread per core is used up to 4 threads. Two threads per core are
 // used at eight threads" — i.e. fill one thread on every core (spreading
 // across chips first) before using SMT siblings.
-func (m *Machine) placement(n int) ([]slot, error) {
-	max := m.Model.MaxThreads()
+func (m Model) placement(n int) ([]slot, error) {
+	max := m.MaxThreads()
 	if n < 1 || n > max {
-		return nil, fmt.Errorf("machine: %d threads out of range 1..%d on %s", n, max, m.Model.Name)
+		return nil, fmt.Errorf("machine: %d threads out of range 1..%d on %s", n, max, m.Name)
 	}
 	var slots []slot
-	for t := 0; t < m.Model.ThreadsPerCore; t++ {
-		for c := 0; c < m.Model.CoresPerChip; c++ {
-			for ch := 0; ch < m.Model.Chips; ch++ {
+	for t := 0; t < m.ThreadsPerCore; t++ {
+		for c := 0; c < m.CoresPerChip; c++ {
+			for ch := 0; ch < m.Chips; ch++ {
 				slots = append(slots, slot{chip: ch, core: c, thread: t})
 			}
 		}
@@ -64,23 +64,29 @@ func (m *Machine) placement(n int) ([]slot, error) {
 	return slots[:n], nil
 }
 
-// Configure builds the hardware contexts for an n-thread run. Context
-// resources (TLBs, caches) are sized according to how many co-scheduled
-// contexts share them under the machine's SharingMode. Configure must be
-// called after AttachProcess.
-func (m *Machine) Configure(n int) ([]*Context, error) {
-	if m.pt == nil {
-		return nil, fmt.Errorf("machine: Configure before AttachProcess")
-	}
+// ctxLayout is one context's place and the geometry of the structures it
+// sees: under SharePartition its share of each co-scheduled structure,
+// under ShareTrue the model's full structures.
+type ctxLayout struct {
+	slot
+	coreKey, l2Key     int // physical core and L2 domain
+	coreShare, l2Share int // active contexts on them
+	itlb, dtlb         tlb.Spec
+	l1, l2             cache.Config
+}
+
+// layout places an n-thread run and sizes every context's structures,
+// refusing a placement whose structures have no valid geometry (say a
+// 2 MB L2 split three ways), so no config reaches construction that
+// cache.New or tlb.New would panic on.
+func (m Model) layout(n int, sharing SharingMode) ([]ctxLayout, error) {
 	slots, err := m.placement(n)
 	if err != nil {
 		return nil, err
 	}
-
-	// Count active contexts per core and per L2 domain.
-	coreKey := func(s slot) int { return s.chip*m.Model.CoresPerChip + s.core }
+	coreKey := func(s slot) int { return s.chip*m.CoresPerChip + s.core }
 	l2Key := func(s slot) int {
-		if m.Model.L2PerChip {
+		if m.L2PerChip {
 			return s.chip
 		}
 		return coreKey(s)
@@ -91,6 +97,55 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 		perCore[coreKey(s)]++
 		perL2[l2Key(s)]++
 	}
+	out := make([]ctxLayout, len(slots))
+	for i, s := range slots {
+		l := ctxLayout{
+			slot: s, coreKey: coreKey(s), l2Key: l2Key(s),
+			itlb: m.ITLB, dtlb: m.DTLB, l1: m.L1D, l2: m.L2,
+		}
+		l.coreShare, l.l2Share = perCore[l.coreKey], perL2[l.l2Key]
+		if sharing == SharePartition {
+			if l.coreShare > 1 {
+				l.itlb = l.itlb.Halve()
+				l.dtlb = l.dtlb.Halve()
+				l.l1.SizeBytes /= int64(l.coreShare)
+			}
+			if l.l2Share > 1 {
+				l.l2.SizeBytes /= int64(l.l2Share)
+			}
+		}
+		for _, err := range [...]error{l.itlb.Validate(), l.dtlb.Validate(), l.l1.Validate(), l.l2.Validate()} {
+			if err != nil {
+				return nil, fmt.Errorf("machine: %d %s threads on %s leave context %d with no valid geometry: %w",
+					n, sharing, m.Name, i, err)
+			}
+		}
+		out[i] = l
+	}
+	return out, nil
+}
+
+// CheckConfig reports whether an n-thread run under sharing can be
+// configured on m — the same check Configure makes before it builds
+// anything, for callers that must refuse a request up front.
+func (m Model) CheckConfig(n int, sharing SharingMode) error {
+	_, err := m.layout(n, sharing)
+	return err
+}
+
+// Configure builds the hardware contexts for an n-thread run. Context
+// resources (TLBs, caches) are sized according to how many co-scheduled
+// contexts share them under the machine's SharingMode; a run whose shares
+// have no valid geometry is an error, reported before anything is built.
+// Configure must be called after AttachProcess.
+func (m *Machine) Configure(n int) ([]*Context, error) {
+	if m.pt == nil {
+		return nil, fmt.Errorf("machine: Configure before AttachProcess")
+	}
+	layouts, err := m.Model.layout(n, m.Sharing)
+	if err != nil {
+		return nil, err
+	}
 
 	m.bus = nil
 	if m.Model.Coherent {
@@ -100,20 +155,8 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 	m.contexts = make([]*Context, 0, n)
 	switch m.Sharing {
 	case SharePartition:
-		for id, s := range slots {
-			coreShare := perCore[coreKey(s)]
-			l2Share := perL2[l2Key(s)]
-			itlbSpec, dtlbSpec := m.Model.ITLB, m.Model.DTLB
-			l1cfg, l2cfg := m.Model.L1D, m.Model.L2
-			if coreShare > 1 {
-				itlbSpec = itlbSpec.Halve()
-				dtlbSpec = dtlbSpec.Halve()
-				l1cfg.SizeBytes /= int64(coreShare)
-			}
-			if l2Share > 1 {
-				l2cfg.SizeBytes /= int64(l2Share)
-			}
-			ctx := m.newContext(id, s, itlbSpec, dtlbSpec, l1cfg, l2cfg, coreShare > 1)
+		for id, l := range layouts {
+			ctx := m.newContext(id, l.slot, l.itlb, l.dtlb, l.l1, l.l2, l.coreShare > 1)
 			m.contexts = append(m.contexts, ctx)
 		}
 	case ShareTrue:
@@ -129,38 +172,37 @@ func (m *Machine) Configure(n int) ([]*Context, error) {
 		}
 		cores := map[int]*coreRes{}
 		l2s := map[int]*l2Res{}
-		for id, s := range slots {
-			ck, lk := coreKey(s), l2Key(s)
-			cr := cores[ck]
+		for id, l := range layouts {
+			cr := cores[l.coreKey]
 			if cr == nil {
 				cr = &coreRes{
-					itlb: tlb.NewHierarchy(m.Model.ITLB),
-					dtlb: tlb.NewHierarchy(m.Model.DTLB),
-					l1:   cache.New(m.Model.L1D),
+					itlb: tlb.NewHierarchy(l.itlb),
+					dtlb: tlb.NewHierarchy(l.dtlb),
+					l1:   cache.New(l.l1),
 					mu:   &sync.Mutex{},
 				}
-				cores[ck] = cr
+				cores[l.coreKey] = cr
 			}
-			lr := l2s[lk]
+			lr := l2s[l.l2Key]
 			if lr == nil {
-				lr = &l2Res{l2: cache.New(m.Model.L2), mu: &sync.Mutex{}}
+				lr = &l2Res{l2: cache.New(l.l2), mu: &sync.Mutex{}}
 				if m.bus != nil {
 					m.bus.Attach(lr.l2)
 				}
-				l2s[lk] = lr
+				l2s[l.l2Key] = lr
 			}
 			ctx := &Context{
-				ID: id, Chip: s.chip, Core: s.core, Thread: s.thread,
+				ID: id, Chip: l.chip, Core: l.core, Thread: l.thread,
 				machine: m, pt: m.pt,
 				itlb: cr.itlb, dtlb: cr.dtlb, l1: cr.l1, l2: lr.l2,
 				costs:      &m.Model.Costs,
-				hasSibling: perCore[ck] > 1,
+				hasSibling: l.coreShare > 1,
 				xlat:       make([]xlatSlot, xlatSlots),
 			}
-			if perCore[ck] > 1 {
+			if l.coreShare > 1 {
 				ctx.coreMu = cr.mu
 			}
-			if perL2[lk] > 1 {
+			if l.l2Share > 1 {
 				ctx.l2Mu = lr.mu
 			}
 			ctx.smtFlush = m.Model.SMT == SMTFlushOnSwitch && ctx.hasSibling

@@ -89,6 +89,46 @@ func TestPlacementRejectsOversubscription(t *testing.T) {
 	}
 }
 
+// TestConfigureGeometryNeverPanics: every built-in model at every thread
+// count under both sharing modes either configures or returns an error —
+// a partitioned share with no valid cache or TLB geometry must never reach
+// construction — and CheckConfig gives the same verdict without building.
+func TestConfigureGeometryNeverPanics(t *testing.T) {
+	for _, model := range AllModels() {
+		for _, sharing := range []SharingMode{SharePartition, ShareTrue} {
+			for n := 1; n <= model.MaxThreads(); n++ {
+				m := New(model)
+				m.Sharing = sharing
+				m.AttachProcess(pagetable.New())
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s/%s/%d threads: Configure panicked: %v", model.Name, sharing, n, r)
+						}
+					}()
+					_, err = m.Configure(n)
+				}()
+				if check := model.CheckConfig(n, sharing); (check == nil) != (err == nil) {
+					t.Errorf("%s/%s/%d threads: CheckConfig = %v, Configure = %v", model.Name, sharing, n, check, err)
+				}
+			}
+		}
+	}
+	// The XeonHT case that used to panic: five to seven threads split a
+	// chip's 2 MB L2 three ways.
+	for n := 5; n <= 7; n++ {
+		if err := XeonHT().CheckConfig(n, SharePartition); err == nil {
+			t.Errorf("XeonHT %d partitioned threads accepted with a three-way L2 split", n)
+		}
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		if err := XeonHT().CheckConfig(n, SharePartition); err != nil {
+			t.Errorf("XeonHT %d threads rejected: %v", n, err)
+		}
+	}
+}
+
 func TestSMTPartitionHalvesTLB(t *testing.T) {
 	m := New(XeonHT())
 	m.AttachProcess(pagetable.New())

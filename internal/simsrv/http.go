@@ -66,7 +66,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.Inject != "" {
 		// Injected faults bypass the memo: a poisoned session must never
 		// publish — or be answered from — a content-addressed result.
-		res, err = s.dispatch(ctx, cfg, req.Kernel, req.Inject)
+		res, err = s.dispatch(ctx, npb.ForkBytes(cfg.Class), func() (npb.Result, error) {
+			return s.session(ctx, cfg, req.Kernel, req.Inject)
+		})
 	} else {
 		res, hit, err = s.run(ctx, cfg, req.Kernel, key)
 	}
@@ -120,16 +122,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Gauges   Gauges   `json:"gauges"`
 		Workers  int      `json:"workers"`
 		QueueCap int      `json:"queue_cap"`
-		Queued   int      `json:"queued"`
 		MemoLen  int      `json:"memo_len"`
 		MemoCap  int      `json:"memo_cap"`
 	}
 	writeJSON(w, http.StatusOK, stats{
 		Counters: s.Counters(),
 		Gauges:   s.Gauges(),
-		Workers:  s.pool.Workers(),
-		QueueCap: s.pool.QueueCap(),
-		Queued:   s.pool.Queued(),
+		Workers:  s.adm.slots,
+		QueueCap: s.adm.maxQueue,
 		MemoLen:  s.memo.Len(),
 		MemoCap:  s.memo.Capacity(),
 	})

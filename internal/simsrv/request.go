@@ -94,6 +94,9 @@ func (s *Server) compile(req *Request) (npb.RunConfig, string, error) {
 		return cfg, "", fmt.Errorf("simsrv: %d threads exceed %s's %d hardware contexts",
 			threads, model.Name, model.MaxThreads())
 	}
+	if err := model.CheckConfig(threads, sharing); err != nil {
+		return cfg, "", err
+	}
 	if req.Iterations < 0 || req.HugePages < 0 || req.DeadlineMS < 0 {
 		return cfg, "", fmt.Errorf("simsrv: negative iterations, huge_pages or deadline_ms")
 	}

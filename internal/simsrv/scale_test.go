@@ -1,98 +1,15 @@
 package simsrv
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"hugeomp/internal/npb"
-	"hugeomp/internal/omp"
 	"hugeomp/internal/units"
 )
-
-// TestSchedPacking: the footprint scheduler admits sessions up to the budget,
-// queues the overflow FIFO, and admits waiters as charges release.
-func TestSchedPacking(t *testing.T) {
-	s := newSched(100, 4)
-	ctx := context.Background()
-	if err := s.acquire(ctx, 60); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.acquire(ctx, 40); err != nil {
-		t.Fatal(err)
-	}
-	// 100/100 charged: the next session must wait.
-	admitted := make(chan error, 1)
-	go func() { admitted <- s.acquire(ctx, 50) }()
-	select {
-	case err := <-admitted:
-		t.Fatalf("over-budget acquire returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if q, r, c := s.snapshot(); q != 1 || r != 2 || c != 100 {
-		t.Fatalf("snapshot = queued %d, running %d, charged %d", q, r, c)
-	}
-	s.release(60)
-	if err := <-admitted; err != nil {
-		t.Fatalf("waiter not admitted after release: %v", err)
-	}
-	if q, r, c := s.snapshot(); q != 0 || r != 2 || c != 90 {
-		t.Fatalf("after release: queued %d, running %d, charged %d", q, r, c)
-	}
-	if s.budgetWaits.Load() != 1 {
-		t.Errorf("budget waits = %d, want 1", s.budgetWaits.Load())
-	}
-}
-
-// TestSchedIdleOverride: a request larger than the whole budget is admitted
-// when nothing is charged — the budget bounds packing, it must not make a
-// class unservable.
-func TestSchedIdleOverride(t *testing.T) {
-	s := newSched(100, 4)
-	if err := s.acquire(context.Background(), 1000); err != nil {
-		t.Fatalf("idle oversized acquire: %v", err)
-	}
-	s.release(1000)
-}
-
-// TestSchedSaturationAndAbort: a full waiter queue refuses with ErrSaturated;
-// a waiter whose context dies leaves with an omp.ErrAborted-wrapping error
-// and no leaked charge.
-func TestSchedSaturationAndAbort(t *testing.T) {
-	s := newSched(100, 1)
-	ctx := context.Background()
-	if err := s.acquire(ctx, 100); err != nil {
-		t.Fatal(err)
-	}
-	dead, cancel := context.WithCancel(ctx)
-	waiter := make(chan error, 1)
-	go func() { waiter <- s.acquire(dead, 10) }()
-	for {
-		if q, _, _ := s.snapshot(); q == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.acquire(ctx, 10); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("full queue acquire = %v, want ErrSaturated", err)
-	}
-	if s.budgetRejects.Load() != 1 {
-		t.Errorf("budget rejects = %d, want 1", s.budgetRejects.Load())
-	}
-	cancel()
-	if err := <-waiter; !errors.Is(err, omp.ErrAborted) {
-		t.Fatalf("aborted waiter = %v, want omp.ErrAborted", err)
-	}
-	s.release(100)
-	if q, r, c := s.snapshot(); q != 0 || r != 0 || c != 0 {
-		t.Fatalf("charge leaked: queued %d, running %d, charged %d", q, r, c)
-	}
-}
 
 // TestTmplPoolEviction: settling templates past the byte budget evicts the
 // least recently used, never the one just settled — a budget smaller than one
@@ -163,7 +80,7 @@ func TestServerTemplateBudget(t *testing.T) {
 // fork at a time; concurrent distinct requests all complete and the waits
 // show up in the gauges.
 func TestServerMemBudget(t *testing.T) {
-	s, ts := newTestServer(t, Config{MemBudget: npb.ForkBytes(npb.ClassT), SchedQueue: 8})
+	s, ts := newTestServer(t, Config{MemBudget: npb.ForkBytes(npb.ClassT), Queue: 8})
 	reqs := []Request{
 		{Kernel: "CG", Class: "T", Model: "Opteron270", Threads: 1, Policy: "4KB"},
 		{Kernel: "CG", Class: "T", Model: "Opteron270", Threads: 1, Policy: "2MB"},

@@ -2,6 +2,7 @@ package simsrv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -27,7 +28,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Drain()
-		s.Close()
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(30 * time.Second):
+			t.Error("Close never returned: a session leaked its admission charge")
+		}
 	})
 	return s, ts
 }
@@ -238,27 +245,29 @@ func TestServerPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestServerAdmissionRefuses: with the pool saturated, /run answers 429 with
-// a Retry-After instead of queueing, and recovers once capacity returns.
+// TestServerAdmissionRefuses: with the only slot busy and the admission
+// queue full, /run answers 429 with a Retry-After instead of queueing, and
+// recovers once capacity returns.
 func TestServerAdmissionRefuses(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
 	block := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(block) }) })
+	est := npb.ForkBytes(npb.ClassT)
+	hold := func() {
+		_, _ = s.dispatch(context.Background(), est, func() (npb.Result, error) {
+			<-block
+			return npb.Result{}, nil
+		})
+	}
+	// Saturate through the controller: one session running, one queued.
 	var wg sync.WaitGroup
-	// Saturate: one running task (wait until the worker holds it), then one
-	// queued — otherwise both could land in the queue and the second Submit
-	// would race the worker for the only slot.
-	started := make(chan struct{})
-	wg.Add(1)
-	if err := s.pool.Submit(func() { defer wg.Done(); close(started); <-block }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	wg.Add(1)
-	if err := s.pool.Submit(func() { defer wg.Done(); <-block }); err != nil {
-		t.Fatal(err)
-	}
+	wg.Add(2)
+	go func() { defer wg.Done(); hold() }()
+	waitRunning(t, s.adm, 1)
+	go func() { defer wg.Done(); hold() }()
+	waitQueued(t, s.adm, 1)
+
 	resp, body := postRun(t, ts, baseReq)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated run: %d %s, want 429", resp.StatusCode, body)
@@ -336,6 +345,36 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if got := s.Counters().Invalid; got != uint64(len(cases)) {
 		t.Errorf("invalid = %d, want %d", got, len(cases))
+	}
+}
+
+// TestServerRejectsInvalidGeometry: a thread count whose partitioned shares
+// leave a cache with no valid geometry (XeonHT at 5–7 threads splits a 2 MB
+// L2 three ways) is a 400 at compile time — no template is built and no
+// session panics.
+func TestServerRejectsInvalidGeometry(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for threads := 5; threads <= 7; threads++ {
+		req := Request{Kernel: "CG", Class: "T", Model: "XeonHT", Threads: threads, Policy: "4KB"}
+		resp, body := postRun(t, ts, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("XeonHT/%d threads: %d %s, want 400", threads, resp.StatusCode, body)
+		}
+		if k := errKind(t, body); k != kindInvalid {
+			t.Errorf("kind = %s, want %s", k, kindInvalid)
+		}
+	}
+	ctr, g := s.Counters(), s.Gauges()
+	if ctr.Invalid != 3 || ctr.Panicked != 0 || ctr.Requests != 0 {
+		t.Errorf("counters after invalid geometry: %+v", ctr)
+	}
+	if g.TemplateBuilds != 0 {
+		t.Errorf("invalid geometry built %d templates", g.TemplateBuilds)
+	}
+	// The same threads under true sharing have valid geometry.
+	ok := Request{Kernel: "CG", Class: "T", Model: "XeonHT", Threads: 5, Policy: "4KB", Sharing: "true-shared"}
+	if resp, body := postRun(t, ts, ok); resp.StatusCode != http.StatusOK {
+		t.Fatalf("XeonHT/5 true-shared: %d %s", resp.StatusCode, body)
 	}
 }
 

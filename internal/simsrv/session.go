@@ -8,11 +8,10 @@ import (
 	"hugeomp/internal/check"
 	"hugeomp/internal/npb"
 	"hugeomp/internal/omp"
-	"hugeomp/internal/par"
 )
 
-// run answers one compiled request: memoized, single-flighted, executed on
-// the admission-controlled pool under ctx's deadline budget.
+// run answers one compiled request: memoized, single-flighted, executed
+// under admission control and ctx's deadline budget.
 //
 // The memo collapses concurrent identical requests onto one flight. When
 // that flight's leader is cancelled, its abort error is reported to every
@@ -24,7 +23,9 @@ func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string)
 	for {
 		var res npb.Result
 		hit, err := s.memo.GetOrCompute(key, func() (any, error) {
-			return s.dispatch(ctx, cfg, kernel, "")
+			return s.dispatch(ctx, npb.ForkBytes(cfg.Class), func() (npb.Result, error) {
+				return s.session(ctx, cfg, kernel, "")
+			})
 		}, &res)
 		if err == nil {
 			return res, hit, nil
@@ -39,42 +40,30 @@ func (s *Server) run(ctx context.Context, cfg npb.RunConfig, kernel, key string)
 	}
 }
 
-// dispatch submits one session to the worker pool and waits for it. The
-// admission decision is made here — a full queue refuses immediately with
-// ErrSaturated, it never blocks — and the session itself always runs to a
-// conclusion once admitted: a cancelled request's session observes the dead
-// context at its first checkpoint and returns within one checkpoint
-// interval, freeing the worker.
-func (s *Server) dispatch(ctx context.Context, cfg npb.RunConfig, kernel, inject string) (npb.Result, error) {
-	type outcome struct {
-		res npb.Result
-		err error
-	}
-	// Charge the session's estimated footprint before it may occupy a
-	// worker: the scheduler packs concurrent sessions under the global
-	// memory budget, blocking on the request's own deadline budget when the
-	// server is footprint-saturated. Cache hits never reach this point.
-	est := npb.ForkBytes(cfg.Class)
-	if err := s.sched.acquire(ctx, est); err != nil {
+// dispatch admits one session — charging a worker slot and est bytes
+// through the admission queue — and runs it inline on the caller's
+// goroutine. A full queue refuses at once with ErrSaturated, a draining
+// server with ErrDraining, and a request whose deadline ends while it waits
+// leaves with an omp.ErrAborted-wrapping error; none of them holds a
+// charge. Once admitted, the session runs to a conclusion: a cancelled
+// request's session observes the dead context at its first checkpoint and
+// returns within one checkpoint interval, freeing its slot.
+//
+// The recover here is a backstop behind session's own boundary: a panic
+// that escapes it is counted (PoolPanics), the charge is released, and the
+// request gets a typed 500 — the server never dies with a session.
+func (s *Server) dispatch(ctx context.Context, est int64, session func() (npb.Result, error)) (res npb.Result, err error) {
+	if err := s.adm.acquire(ctx, est); err != nil {
 		return npb.Result{}, err
 	}
-	defer s.sched.release(est)
-
-	done := make(chan outcome, 1)
-	err := s.pool.Submit(func() {
-		res, err := s.session(ctx, cfg, kernel, inject)
-		done <- outcome{res, err}
-	})
-	switch {
-	case errors.Is(err, par.ErrSaturated):
-		return npb.Result{}, ErrSaturated
-	case errors.Is(err, par.ErrClosed):
-		return npb.Result{}, ErrDraining
-	case err != nil:
-		return npb.Result{}, err
-	}
-	o := <-done
-	return o.res, o.err
+	defer s.adm.release(est)
+	defer func() {
+		if r := recover(); r != nil {
+			s.ctr.poolPanics.Add(1)
+			res, err = npb.Result{}, fmt.Errorf("simsrv: panic escaped the session boundary: %v", r)
+		}
+	}()
+	return session()
 }
 
 // session is one simulation and the panic boundary around it: a panic

@@ -7,13 +7,14 @@
 //
 //   - Cancellation. Each request carries a deadline budget; the run context
 //     is threaded through the OpenMP runtime (omp.RT.Bind) so an abandoned
-//     request stops at its next checkpoint, frees its worker, and leaves an
+//     request stops at its next checkpoint, frees its slot, and leaves an
 //     aborted fork that still passes the full check.All audit.
 //
-//   - Admission control. A bounded worker pool (internal/par.Pool) with a
-//     bounded queue refuses work it cannot start promptly — 429 with a
-//     Retry-After — instead of queueing unboundedly; a draining server
-//     answers 503.
+//   - Admission control. One FIFO charges every session a worker slot plus
+//     its estimated fork footprint before it runs inline on the request's
+//     goroutine. Waiters spend their own deadline (504 when it ends), a
+//     full queue refuses at once — 429 with a Retry-After — instead of
+//     queueing unboundedly, and a draining server answers 503.
 //
 //   - Panic quarantine. A panic inside a session is recovered at the session
 //     boundary, turned into a typed error for that request alone, and the
@@ -39,7 +40,6 @@ import (
 	"hugeomp/internal/memo"
 	"hugeomp/internal/memo/diskcache"
 	"hugeomp/internal/npb"
-	"hugeomp/internal/par"
 )
 
 // Typed session errors: every failure a request can observe is classified,
@@ -47,7 +47,7 @@ import (
 var (
 	// ErrSessionPanic wraps a panic recovered at a session boundary.
 	ErrSessionPanic = errors.New("simsrv: session panicked")
-	// ErrSaturated mirrors par.ErrSaturated at the admission layer.
+	// ErrSaturated reports a full admission queue.
 	ErrSaturated = errors.New("simsrv: admission queue full")
 	// ErrDraining reports a server that is shutting down.
 	ErrDraining = errors.New("simsrv: draining")
@@ -57,7 +57,8 @@ var (
 type Config struct {
 	// Workers bounds concurrent simulations; 0 = GOMAXPROCS.
 	Workers int
-	// Queue bounds admitted-but-not-started simulations; 0 = 2×workers.
+	// Queue bounds sessions waiting for admission, whether for a worker
+	// slot or for footprint budget; 0 = 2×workers.
 	Queue int
 	// DefaultDeadline applies when a request names none.
 	DefaultDeadline time.Duration
@@ -78,15 +79,13 @@ type Config struct {
 	CacheDir string
 	// MemBudget bounds the summed estimated footprint (npb.ForkBytes) of
 	// concurrently admitted sessions, in bytes; 0 = unbounded. Sessions that
-	// would overflow it wait FIFO on their own deadline budget.
+	// would overflow it wait in the admission queue on their own deadline
+	// budget.
 	MemBudget int64
 	// TemplateBudget bounds the warmed-template pool's resident bytes
 	// (npb.TemplateBytes per template); 0 = unbounded. Least-recently-used
 	// templates beyond it are evicted and rebuilt cold on next use.
 	TemplateBudget int64
-	// SchedQueue bounds sessions waiting on the footprint budget;
-	// 0 = 2×workers (mirroring the worker pool's queue default).
-	SchedQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -116,7 +115,7 @@ type Counters struct {
 	Invalid     uint64 `json:"invalid"`      // malformed or oversized requests (4xx)
 	Failed      uint64 `json:"failed"`       // other run failures (500)
 	Retries     uint64 `json:"retries"`      // single-flight retries after a leader abort
-	PoolPanics  uint64 `json:"pool_panics"`  // backstop catches (should stay 0)
+	PoolPanics  uint64 `json:"pool_panics"`  // dispatch backstop catches (should stay 0)
 	MemoMisses  uint64 `json:"memo_misses"`  // simulations actually run
 	MemoEvicted uint64 `json:"memo_evicted"` // results dropped by the capacity bound
 }
@@ -125,14 +124,13 @@ type counters struct {
 	requests, completed, cacheHits atomic.Uint64
 	aborted, panicked, quarantined atomic.Uint64
 	rejected, drained, invalid     atomic.Uint64
-	failed, retries                atomic.Uint64
+	failed, retries, poolPanics    atomic.Uint64
 }
 
 // Server is the simulator service. Create with NewServer; serve its Handler.
 type Server struct {
 	cfg   Config
-	pool  *par.Pool
-	sched *sched
+	adm   *admission
 	memo  *memo.Cache
 	disk  *diskcache.Store // nil when CacheDir is unset
 	tmpls *tmplPool
@@ -157,22 +155,15 @@ type tmplKey struct {
 // unusable CacheDir — a server without a disk cache never errors.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	pool := par.NewPool(cfg.Workers, cfg.Queue)
-	schedQueue := cfg.SchedQueue
-	if schedQueue <= 0 {
-		schedQueue = 2 * pool.Workers()
-	}
 	s := &Server{
 		cfg:   cfg,
-		pool:  pool,
-		sched: newSched(cfg.MemBudget, schedQueue),
+		adm:   newAdmission(cfg.Workers, cfg.Queue, cfg.MemBudget),
 		memo:  memo.NewBounded(cfg.MemoCapacity),
 		tmpls: newTmplPool(cfg.TemplateBudget),
 	}
 	if cfg.CacheDir != "" {
 		disk, err := diskcache.Open(cfg.CacheDir)
 		if err != nil {
-			pool.Close()
 			return nil, err
 		}
 		s.disk = disk
@@ -186,9 +177,10 @@ func NewServer(cfg Config) (*Server, error) {
 // deadlines). Idempotent.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Close drains the worker pool, waiting for queued sessions. Call after
-// Drain and after the HTTP listener has shut down.
-func (s *Server) Close() { s.pool.Close() }
+// Close refuses further admissions with ErrDraining and waits for every
+// admitted session to finish. Call after Drain and after the HTTP listener
+// has shut down. Idempotent.
+func (s *Server) Close() { s.adm.close() }
 
 // Counters snapshots the typed event counts.
 func (s *Server) Counters() Counters {
@@ -205,7 +197,7 @@ func (s *Server) Counters() Counters {
 		Invalid:     s.ctr.invalid.Load(),
 		Failed:      s.ctr.failed.Load(),
 		Retries:     s.ctr.retries.Load(),
-		PoolPanics:  s.pool.Panics(),
+		PoolPanics:  s.ctr.poolPanics.Load(),
 		MemoMisses:  misses,
 		MemoEvicted: s.memo.Evictions(),
 	}
@@ -247,20 +239,21 @@ func (s *Server) tmplEntryFor(key tmplKey) *tmplEntry {
 	return s.tmpls.lookup(key)
 }
 
-// Gauges are the service's point-in-time readings — scheduler occupancy,
+// Gauges are the service's point-in-time readings — admission occupancy,
 // template-pool residency, disk-cache traffic — exposed by /stats next to
 // the monotone Counters.
 type Gauges struct {
-	// Footprint scheduler: sessions waiting on the budget, sessions charged
-	// against it, bytes charged now / at peak, and the configured budget
-	// (0 = unbounded). Waits and rejects are monotone.
-	SchedQueued        int    `json:"sched_queued"`
-	SchedRunning       int    `json:"sched_running"`
-	SchedChargedBytes  int64  `json:"sched_charged_bytes"`
-	SchedPeakBytes     int64  `json:"sched_peak_bytes"`
-	SchedBudgetBytes   int64  `json:"sched_budget_bytes"`
-	SchedBudgetWaits   uint64 `json:"sched_budget_waits"`
-	SchedBudgetRejects uint64 `json:"sched_budget_rejects"`
+	// Admission queue: sessions waiting, sessions admitted and running,
+	// bytes charged now / at peak, and the configured memory budget
+	// (0 = unbounded). Waits is monotone: every admission that had to
+	// queue, whether for a worker slot or for bytes. Refusals of a full
+	// queue are Counters.Rejected.
+	SchedQueued       int    `json:"sched_queued"`
+	SchedRunning      int    `json:"sched_running"`
+	SchedChargedBytes int64  `json:"sched_charged_bytes"`
+	SchedPeakBytes    int64  `json:"sched_peak_bytes"`
+	SchedBudgetBytes  int64  `json:"sched_budget_bytes"`
+	SchedBudgetWaits  uint64 `json:"sched_budget_waits"`
 	// Warmed-template pool: settled residents, their estimated bytes, the
 	// budget (0 = unbounded), capacity evictions and cold builds.
 	TemplateResidents   int    `json:"template_residents"`
@@ -281,16 +274,15 @@ type Gauges struct {
 
 // Gauges snapshots the point-in-time readings.
 func (s *Server) Gauges() Gauges {
-	queued, running, charged := s.sched.snapshot()
+	queued, running, charged, peak := s.adm.snapshot()
 	residents, bytes, evictions, builds := s.tmpls.snapshot()
 	g := Gauges{
 		SchedQueued:         queued,
 		SchedRunning:        running,
 		SchedChargedBytes:   charged,
-		SchedPeakBytes:      s.sched.peakCharged.Load(),
+		SchedPeakBytes:      peak,
 		SchedBudgetBytes:    s.cfg.MemBudget,
-		SchedBudgetWaits:    s.sched.budgetWaits.Load(),
-		SchedBudgetRejects:  s.sched.budgetRejects.Load(),
+		SchedBudgetWaits:    s.adm.waits.Load(),
 		TemplateResidents:   residents,
 		TemplateBytes:       bytes,
 		TemplateBudgetBytes: s.cfg.TemplateBudget,

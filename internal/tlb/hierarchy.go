@@ -48,6 +48,17 @@ func (s Spec) Halve() Spec {
 	}
 }
 
+// Validate reports whether NewHierarchy can build s: it rejects exactly
+// the specs NewHierarchy panics on.
+func (s Spec) Validate() error {
+	for _, c := range [...]Config{s.L1.E4K, s.L1.E2M, s.L2.E4K, s.L2.E2M} {
+		if _, _, err := c.geometry(); err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
+	}
+	return nil
+}
+
 // Coverage returns the bytes of address space the whole stack can map for
 // the given page size (the paper's Table 1 "Coverage" rows).
 func (s Spec) Coverage(size units.PageSize) int64 {

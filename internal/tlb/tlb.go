@@ -87,6 +87,33 @@ type TLB struct {
 	misses uint64
 }
 
+// geometry derives cfg's associativity and set count, or reports why cfg
+// has no packed set-indexed layout. An absent structure (zero entries) is
+// valid and has neither.
+func (cfg Config) geometry() (assoc, sets int, err error) {
+	if cfg.Entries == 0 {
+		return 0, 0, nil
+	}
+	assoc = cfg.Ways
+	if assoc <= 0 || assoc > cfg.Entries {
+		assoc = cfg.Entries
+	}
+	sets = cfg.Entries / assoc
+	switch {
+	case cfg.Entries < 0:
+		err = fmt.Errorf("tlb: negative entry count %d", cfg.Entries)
+	case sets*assoc != cfg.Entries:
+		err = fmt.Errorf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc)
+	case sets&(sets-1) != 0:
+		err = fmt.Errorf("tlb: set count %d not a power of two", sets)
+	case cfg.Entries > 1<<16:
+		err = fmt.Errorf("tlb: %d entries exceed recency-link width", cfg.Entries)
+	case assoc > 256:
+		err = fmt.Errorf("tlb: associativity %d exceeds recency-byte width", assoc)
+	}
+	return assoc, sets, err
+}
+
 // New builds a TLB from cfg. It returns nil for an absent structure
 // (cfg.Entries == 0); all methods on a nil *TLB behave as a structure that
 // never hits.
@@ -94,22 +121,9 @@ func New(cfg Config) *TLB {
 	if cfg.Entries == 0 {
 		return nil
 	}
-	assoc := cfg.Ways
-	if assoc <= 0 || assoc > cfg.Entries {
-		assoc = cfg.Entries
-	}
-	sets := cfg.Entries / assoc
-	if sets*assoc != cfg.Entries {
-		panic(fmt.Sprintf("tlb: entries %d not divisible by ways %d", cfg.Entries, assoc))
-	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("tlb: set count %d not a power of two", sets))
-	}
-	if cfg.Entries > 1<<16 {
-		panic(fmt.Sprintf("tlb: %d entries exceed recency-link width", cfg.Entries))
-	}
-	if assoc > 256 {
-		panic(fmt.Sprintf("tlb: associativity %d exceeds recency-byte width", assoc))
+	assoc, sets, err := cfg.geometry()
+	if err != nil {
+		panic(err.Error())
 	}
 	// The counting filter earns its keep only when it spares a wide scan:
 	// for associativities of eight or fewer ways the whole set's VPNs fit
