@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint lint-fix-check chaos serve-soak simd-smoke serve-bench race bench microbench simbench experiments examples fuzz clean
+.PHONY: all build test check lint lint-fix-check chaos serve-soak simd-smoke serve-bench race bench microbench simbench perfbench-test experiments examples fuzz clean
 
 all: build test check
 
@@ -95,6 +95,12 @@ bench:
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...
+
+# perfbench/ is its own Go module (it replaces hugeomp with ../ to reach the
+# internal packages), so the root ./... never compiles it. Vet and test it
+# directly so an internal API change that breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full class-A reproduction of every table and figure (minutes).
 experiments:

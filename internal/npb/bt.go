@@ -151,8 +151,11 @@ func (k *BT) computeRHS(rt *omp.RT) {
 // points whose consecutive points are strideP points apart. The 5x5 block
 // work (two block multiplies and one block solve per point, ~125 multiplies
 // each) dominates arithmetically, as in the original BT.
-func (k *BT) solveLine(c *machine.Context, start, count, strideP int, lam float64) {
-	cp := make([]float64, count)
+//
+// cp is the caller's thread-private scratch for the c' coefficients, at least
+// count elements long; like SP's, it is not driven through the simulated
+// memory system.
+func (k *BT) solveLine(c *machine.Context, cp []float64, start, count, strideP int, lam float64) {
 	b := 1 + 2*lam
 	// Forward elimination on each of the 5 interleaved components; the
 	// element stride in the array is 5*strideP (AoS layout).
@@ -188,9 +191,10 @@ func (k *BT) xSolve(rt *omp.RT, lam float64) {
 	lines := k.ny * k.nz
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.nx)
 			for l := lo; l < hi; l++ {
 				j, kk := l%k.ny, l/k.ny
-				k.solveLine(c, k.pidx(0, j, kk), k.nx, 1, lam)
+				k.solveLine(c, cp, k.pidx(0, j, kk), k.nx, 1, lam)
 			}
 		})
 }
@@ -199,9 +203,10 @@ func (k *BT) ySolve(rt *omp.RT, lam float64) {
 	lines := k.nx * k.nz
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.ny)
 			for l := lo; l < hi; l++ {
 				i, kk := l%k.nx, l/k.nx
-				k.solveLine(c, k.pidx(i, 0, kk), k.ny, k.nx, lam)
+				k.solveLine(c, cp, k.pidx(i, 0, kk), k.ny, k.nx, lam)
 			}
 		})
 }
@@ -210,9 +215,10 @@ func (k *BT) zSolve(rt *omp.RT, lam float64) {
 	lines := k.nx * k.ny
 	rt.ParallelFor(k.codeSolve, lines, omp.For{Schedule: omp.Static},
 		func(tid int, c *machine.Context, lo, hi int) {
+			cp := make([]float64, k.nz)
 			for l := lo; l < hi; l++ {
 				i, j := l%k.nx, l/k.nx
-				k.solveLine(c, k.pidx(i, j, 0), k.nz, k.nx*k.ny, lam)
+				k.solveLine(c, cp, k.pidx(i, j, 0), k.nz, k.nx*k.ny, lam)
 			}
 		})
 }

@@ -82,31 +82,14 @@ func (k *CG) Setup(sys *core.System, class Class) error {
 	k.class = class
 	k.n, k.nzRow = k.geometry(class)
 
-	// makea, phase 1: a random SYMMETRIC sparsity pattern — each row draws
-	// `half` random partners and the entry is mirrored — made SPD later by
-	// a barely-dominant diagonal, so CG is mathematically valid and
-	// converges gradually (NPB CG's matrix is similarly mildly
-	// conditioned). Exact nnz = n·(2·half + 1).
-	rng := newLCG(314159)
-	type ent struct {
-		col int
-		v   float64
-	}
+	// The matrix is a random SYMMETRIC sparsity pattern — each row draws
+	// `half` random partners and the entry is mirrored — made SPD by a
+	// barely-dominant diagonal, so CG is mathematically valid and converges
+	// gradually (NPB CG's matrix is similarly mildly conditioned). Exact
+	// nnz = n·(2·half + 1).
 	half := (k.nzRow - 1) / 2
 	if half < 1 {
 		half = 1
-	}
-	rows := make([][]ent, k.n)
-	for i := 0; i < k.n; i++ {
-		for h := 0; h < half; h++ {
-			j := rng.intn(k.n)
-			if j == i {
-				j = (j + 1) % k.n
-			}
-			v := rng.float() - 0.5
-			rows[i] = append(rows[i], ent{j, v})
-			rows[j] = append(rows[j], ent{i, v})
-		}
 	}
 	nnz := k.n * (2*half + 1)
 
@@ -137,32 +120,79 @@ func (k *CG) Setup(sys *core.System, class Class) error {
 		return err
 	}
 
-	// makea, phase 2: pack CSR with the mirrored entries plus the dominant
-	// diagonal.
-	pos := 0
-	for i := 0; i < k.n; i++ {
-		k.rowstr.Data[i] = int64(pos)
-		rowSum := 0.0
-		for _, e := range rows[i] {
-			k.colidx.Data[pos] = int64(e.col)
-			k.a.Data[pos] = e.v
-			rowSum += math.Abs(e.v)
-			pos++
-		}
-		k.colidx.Data[pos] = int64(i)
-		k.a.Data[pos] = rowSum + 0.05
-		pos++
-		rows[i] = nil
+	if got := k.makea(half); got != nnz {
+		return fmt.Errorf("cg: packed %d entries, expected %d", got, nnz)
 	}
-	k.rowstr.Data[k.n] = int64(pos)
-	if pos != nnz {
-		return fmt.Errorf("cg: packed %d entries, expected %d", pos, nnz)
-	}
-
 	for i := 0; i < k.n; i++ {
 		k.x.Data[i] = 1.0
 	}
 	return nil
+}
+
+// cgSeed seeds makea's LCG stream.
+const cgSeed = 314159
+
+// cgPartner draws row i's next random partner j != i and the entry value v
+// from makea's stream.
+func cgPartner(rng *lcg, n, i int) (j int, v float64) {
+	j = rng.intn(n)
+	if j == i {
+		j = (j + 1) % n
+	}
+	return j, rng.float() - 0.5
+}
+
+// makea builds the matrix straight into rowstr, colidx and a, with no
+// per-row storage, and returns the packed entry count. Each row holds its
+// mirrored entries in generation order — row i receives (j, v) before row j
+// receives (i, v) — followed by the diagonal Σ|a| + 0.05.
+func (k *CG) makea(half int) int {
+	n := k.n
+	rowstr, colidx, a := k.rowstr.Data, k.colidx.Data, k.a.Data
+
+	// Pass 1: count each row's entries into rowstr[i+1] (its own draws, the
+	// mirrors it receives, its diagonal) and prefix-sum them into row starts.
+	rng := newLCG(cgSeed)
+	for i := 0; i < n; i++ {
+		rowstr[i+1] += int64(half) + 1
+		for h := 0; h < half; h++ {
+			j, _ := cgPartner(rng, n, i)
+			rowstr[j+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowstr[i+1] += rowstr[i]
+	}
+
+	// Pass 2: replay the stream and scatter each pair, advancing rowstr[i]
+	// as row i's fill cursor. Afterwards rowstr[i] points at row i's last
+	// slot, the one reserved for the diagonal.
+	rng = newLCG(cgSeed)
+	for i := 0; i < n; i++ {
+		for h := 0; h < half; h++ {
+			j, v := cgPartner(rng, n, i)
+			p := rowstr[i]
+			colidx[p], a[p] = int64(j), v
+			rowstr[i]++
+			p = rowstr[j]
+			colidx[p], a[p] = int64(i), v
+			rowstr[j]++
+		}
+	}
+
+	// Pass 3: write each diagonal and restore the row starts.
+	start := int64(0)
+	for i := 0; i < n; i++ {
+		d := rowstr[i]
+		rowSum := 0.0
+		for p := start; p < d; p++ {
+			rowSum += math.Abs(a[p])
+		}
+		colidx[d], a[d] = int64(i), rowSum+0.05
+		rowstr[i] = start
+		start = d + 1
+	}
+	return int(start)
 }
 
 // matvec computes q = A·p through the simulated memory system.
