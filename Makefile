@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint lint-fix-check chaos serve-soak simd-smoke serve-bench race bench microbench simbench perfbench-test experiments examples fuzz clean
+.PHONY: all build test check lint chaos serve-soak simd-smoke serve-bench race bench microbench simbench perfbench-test experiments examples fuzz clean
 
 all: build test check
 
@@ -16,28 +16,12 @@ test:
 # simlint enforces the simulator's written contracts: determinism and
 # interprocedural determinism taint (no wall clocks, global rand, scheduler
 # queries, or order-sensitive map iteration reaching the counters), the
-# lock hierarchy across call chains (lockorder), cancellable kernel loops
-# (ctxflow), //simlint:atomic field access, and //simlint:padded cache-line
-# layout. See docs/LINTING.md.
+# lock hierarchy across call chains and hot-path unlocks (lockorder),
+# cancellable kernel loops (ctxflow), //simlint:atomic field access, and
+# //simlint:padded cache-line layout. It runs as a `go vet -vettool`, so
+# cmd/go caches its per-package results. See docs/LINTING.md.
 lint:
 	$(GO) run ./cmd/simlint ./...
-
-# Mode-agreement check: the standalone runner and the `go vet -vettool`
-# protocol must produce identical findings on the whole tree. vet runs the
-# tool once per package including test variants, so its output is deduped;
-# both sides are normalised to relative paths before diffing. Also exercises
-# the vetx fact plumbing (cross-package summaries through cmd/go's cache).
-lint-fix-check:
-	$(GO) build -o $(CURDIR)/bin/simlint ./cmd/simlint
-	@standalone=$$($(CURDIR)/bin/simlint ./... 2>&1 | sed 's|$(CURDIR)/||g' | sort -u); \
-	vettool=$$($(GO) vet -vettool=$(CURDIR)/bin/simlint ./... 2>&1 | grep -v '^#' | sort -u); \
-	if [ "$$standalone" != "$$vettool" ]; then \
-		echo "simlint standalone and vettool modes disagree:"; \
-		echo "--- standalone"; echo "$$standalone"; \
-		echo "--- vettool"; echo "$$vettool"; \
-		exit 1; \
-	fi; \
-	echo "lint-fix-check: standalone and vettool agree ($$(echo -n "$$standalone" | grep -c . ) findings)"
 
 # Static and concurrency hygiene for the hot simulator paths: vet, gofmt
 # drift (the gofmt guard walks the whole tree, including the simlint test

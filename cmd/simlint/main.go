@@ -1,36 +1,35 @@
 // Command simlint runs the simulator's static contract checks: determinism
-// (no wall clocks, no global rand, no scheduler queries, no order-sensitive
-// map iteration in simulator packages), dettaint (interprocedural
-// determinism taint from host-state sources into profile counters and memo
-// keys), lockdiscipline (no defer-unlock on hot paths), lockorder
-// (interprocedural lock-acquisition ordering against the documented
-// hierarchy, with cycle detection), ctxflow (loops issuing omp regions must
-// reach rt.Checkpoint or carry //simlint:nocheckpoint), atomicfield
-// (//simlint:atomic fields only touched through sync/atomic), cowshared
-// (//simlint:cowshared snapshot-shared arrays only written inside
-// //simlint:cowbarrier functions — the copy-on-write write barrier) and
+// (no order-sensitive map iteration in simulator packages), dettaint (no
+// wall clocks, global rand or scheduler queries in simulator packages, and
+// interprocedural determinism taint from host-state sources into profile
+// counters and memo keys), lockorder (interprocedural lock-acquisition
+// ordering against the documented hierarchy, with cycle detection, and no
+// defer-unlock on //simlint:hotpath functions), ctxflow (loops issuing omp
+// regions must reach rt.Checkpoint or carry //simlint:nocheckpoint),
+// atomicfield (//simlint:atomic fields only touched through sync/atomic),
+// cowshared (//simlint:cowshared snapshot-shared arrays only written inside
+// //simlint:cowbarrier functions — the copy-on-write write barrier),
 // padding (//simlint:padded layout and //simlint:writer false-sharing
-// checks).
+// checks) and panicboundary (goroutines in opted-in packages install
+// recover first).
 //
-// Two modes share one engine:
+//	simlint [-json] [packages]      # defaults to ./...
 //
-//	simlint [flags] [packages]      # standalone, defaults to ./...
-//	go vet -vettool=$(which simlint) ./...
-//
-// The second form speaks cmd/go's vettool protocol: -V=full and -flags for
-// the handshake, then a single *.cfg argument per package with the build
-// system supplying export data, so no source re-type-checking of
-// dependencies is needed. Interprocedural facts (per-function summaries)
-// flow between packages through the vetx files cmd/go threads from
-// dependencies to dependents — and caches keyed by export data, so an
-// unchanged package is never re-analyzed. The standalone mode walks the
-// module in dependency order with one shared fact store, which by
-// construction yields the same findings.
+// simlint is a go vet tool. Given package patterns it re-executes
+// `go vet -vettool=<itself>`, so cmd/go loads, type-checks and caches the
+// packages, then calls the tool back with -V=full and -flags for the
+// handshake and a single *.cfg argument per package, with the build system
+// supplying export data for the imports. Interprocedural facts
+// (per-function summaries) flow between packages through the vetx files
+// cmd/go threads from dependencies to dependents and caches keyed by export
+// data, so an unchanged package is never re-analyzed.
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -40,56 +39,25 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 
 	"hugeomp/internal/lint"
 	"hugeomp/internal/lint/analysis"
-	"hugeomp/internal/lint/ctxflow"
-	"hugeomp/internal/lint/determinism"
-	"hugeomp/internal/lint/dettaint"
-	"hugeomp/internal/lint/load"
-	"hugeomp/internal/lint/lockorder"
 )
 
 var (
 	versionFlag = flag.String("V", "", "print version and exit (the go command's vettool handshake)")
 	flagsFlag   = flag.Bool("flags", false, "print the tool's flags as JSON and exit (vettool handshake)")
-	jsonFlag    = flag.Bool("json", false, "emit diagnostics as JSON instead of text")
-	contextFlag = flag.Int("c", -1, "display offending line plus this many lines of context")
-
-	detPackages = flag.String("determinism.packages", strings.Join(determinism.Packages, ","),
-		"comma-separated package suffixes held to the determinism contract")
-	dtPackages = flag.String("dettaint.packages", strings.Join(dettaint.Packages, ","),
-		"comma-separated package suffixes where determinism taint is reported")
-	dtSinkTypes = flag.String("dettaint.sinktypes", dettaint.SinkTypes,
-		"comma-separated named types whose methods are determinism sinks")
-	dtSinkFuncs = flag.String("dettaint.sinkfuncs", dettaint.SinkFuncs,
-		"comma-separated pkg.Func sink functions (memo key builders)")
-	loOrder = flag.String("lockorder.order", lockorder.Order,
-		"lock hierarchy, outermost first, e.g. \"Context.l2Mu < busShard < Cache, cacheFields\"")
-	loPackages = flag.String("lockorder.packages", strings.Join(lockorder.Packages, ","),
-		"comma-separated package suffixes where lock-order violations are reported")
-	cfPackages = flag.String("ctxflow.packages", strings.Join(ctxflow.Packages, ","),
-		"comma-separated package suffixes whose loops must stay cancellable")
-	cfRTType = flag.String("ctxflow.rttype", ctxflow.RTType,
-		"pkg.Type of the omp runtime whose methods delimit regions and checkpoints")
-
-	// Per-analyzer enable flags, unitchecker-style: if any is set
-	// explicitly, only the set ones run.
-	enable = map[string]*bool{}
+	jsonFlag    = flag.Bool("json", false, "emit diagnostics as one JSON array instead of text")
 )
-
-func init() {
-	for _, a := range lint.Analyzers() {
-		enable[a.Name] = flag.Bool(a.Name, false, "run only the "+a.Name+" analyzer (and other explicitly enabled ones)")
-	}
-}
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [packages]\n   or: go vet -vettool=$(which simlint) [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -102,128 +70,77 @@ func main() {
 		handshakeFlags()
 		return
 	}
-
-	determinism.Packages = splitList(*detPackages)
-	dettaint.Packages = splitList(*dtPackages)
-	dettaint.SinkTypes = *dtSinkTypes
-	dettaint.SinkFuncs = *dtSinkFuncs
-	lockorder.Order = *loOrder
-	lockorder.Packages = splitList(*loPackages)
-	ctxflow.Packages = splitList(*cfPackages)
-	ctxflow.RTType = *cfRTType
-
 	args := flag.Args()
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vettool(args[0]))
 	}
-	os.Exit(standalone(args))
+	os.Exit(goVet(args))
 }
 
-// selected returns the analyzers to run, honouring explicit -<name> flags.
-func selected() []*analysis.Analyzer {
-	all := lint.Analyzers()
-	anySet := false
-	for _, a := range all {
-		if *enable[a.Name] {
-			anySet = true
-		}
-	}
-	if !anySet {
-		return all
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if *enable[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+// --- go vet driver ---------------------------------------------------------
 
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// --- standalone mode -------------------------------------------------------
-
-func standalone(patterns []string) int {
-	pkgs, err := load.Load("", patterns...)
+// goVet runs `go vet -vettool=<this binary>` over the patterns and relays
+// its report without the "# pkg" header lines go vet puts above each
+// package's output: text findings and the exit status pass through; with
+// -json, the per-package arrays are merged into one.
+func goVet(patterns []string) int {
+	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 2
 	}
-	analyzers := selected()
-	// One fact store shared across the dependency-ordered walk: summaries
-	// computed for a dependency are visible when its dependents run, exactly
-	// as the vetx files thread them in vettool mode.
-	facts := analysis.NewFactStore()
-	found := false
-	var report jsonReport
-	for _, p := range pkgs {
-		diags, err := lint.Run(&lint.Unit{
-			Fset:  p.Fset,
-			Files: p.Files,
-			Pkg:   p.Types,
-			Info:  p.Info,
-			Sizes: p.Sizes,
-			Facts: facts,
-		}, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %s: %v\n", p.ImportPath, err)
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	args := []string{"vet", "-vettool=" + exe}
+	if *jsonFlag {
+		args = append(args, "-json")
+	}
+	var out bytes.Buffer
+	cmd := exec.Command("go", append(args, patterns...)...)
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 			return 2
 		}
-		if !p.Root {
-			continue // dependencies contribute facts, not findings
-		}
-		for _, d := range diags {
-			if *jsonFlag {
-				report = append(report, jsonFinding(p.ImportPath, d))
-			}
-			if d.Suppressed {
-				continue
-			}
-			found = true
-			if !*jsonFlag {
-				printPlain(d)
-			}
+		code = exit.ExitCode()
+	}
+	var body bytes.Buffer
+	for _, line := range bytes.SplitAfter(out.Bytes(), []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("# ")) {
+			body.Write(line)
 		}
 	}
-	if *jsonFlag {
-		report.print()
-		return 0
+	if *jsonFlag && code == 0 {
+		return mergeJSON(body.Bytes())
 	}
-	if found {
-		return 1
+	os.Stderr.Write(body.Bytes())
+	return code
+}
+
+// mergeJSON decodes the per-package finding arrays the vettool printed and
+// emits them as one array, ordered by package (go vet runs packages in
+// parallel, so its own order varies from run to run).
+func mergeJSON(data []byte) int {
+	var report jsonReport
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		var pkg jsonReport
+		if err := dec.Decode(&pkg); err == io.EOF {
+			break
+		} else if err != nil {
+			fmt.Fprintf(os.Stderr, "simlint: decoding go vet output: %v\n%s", err, data)
+			return 2
+		}
+		report = append(report, pkg...)
 	}
+	sort.SliceStable(report, func(i, j int) bool { return report[i].Package < report[j].Package })
+	report.print()
 	return 0
-}
-
-func printPlain(d lint.Diagnostic) {
-	fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
-	if *contextFlag >= 0 {
-		printContext(d.Pos)
-	}
-}
-
-// printContext echoes the offending source line (plus -c lines around it),
-// mirroring go vet's plain output.
-func printContext(pos token.Position) {
-	data, err := os.ReadFile(pos.Filename)
-	if err != nil {
-		return
-	}
-	lines := strings.Split(string(data), "\n")
-	for i := pos.Line - *contextFlag; i <= pos.Line+*contextFlag; i++ {
-		if i >= 1 && i <= len(lines) {
-			fmt.Fprintf(os.Stderr, "%d\t%s\n", i, lines[i-1])
-		}
-	}
 }
 
 // --- machine-readable findings ---------------------------------------------
@@ -244,18 +161,6 @@ type finding struct {
 }
 
 type jsonReport []finding
-
-func jsonFinding(pkgID string, d lint.Diagnostic) finding {
-	return finding{
-		Rule:           d.Analyzer,
-		Package:        pkgID,
-		Posn:           d.Pos.String(),
-		Message:        d.Message,
-		Trace:          d.Trace,
-		Suppressed:     d.Suppressed,
-		SuppressReason: d.SuppressReason,
-	}
-}
 
 func (r jsonReport) print() {
 	if r == nil {
@@ -447,7 +352,7 @@ func vettool(cfgPath string) int {
 		Info:  info,
 		Sizes: sizes,
 		Facts: facts,
-	}, selected())
+	}, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %s: %v\n", cfg.ImportPath, err)
 		return 1
@@ -460,27 +365,30 @@ func vettool(cfgPath string) int {
 		return 0
 	}
 
-	visible := diags[:0:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			visible = append(visible, d)
-		}
-	}
 	if *jsonFlag {
 		report := make(jsonReport, 0, len(diags))
 		for _, d := range diags {
-			report = append(report, jsonFinding(cfg.ID, d))
+			report = append(report, finding{
+				Rule:           d.Analyzer,
+				Package:        cfg.ID,
+				Posn:           d.Pos.String(),
+				Message:        d.Message,
+				Trace:          d.Trace,
+				Suppressed:     d.Suppressed,
+				SuppressReason: d.SuppressReason,
+			})
 		}
 		report.print()
 		return 0
 	}
-	for _, d := range visible {
-		printPlain(d)
+	code := 0
+	for _, d := range diags {
+		if !d.Suppressed {
+			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
+			code = 1
+		}
 	}
-	if len(visible) > 0 {
-		return 1
-	}
-	return 0
+	return code
 }
 
 // writeVetx records this package's fact set (its own summaries plus the

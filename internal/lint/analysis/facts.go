@@ -8,16 +8,11 @@ import (
 
 // A FactStore carries serialized per-function summaries ("facts") across
 // package boundaries, which is what turns the per-package analyzers into a
-// whole-program analysis:
-//
-//   - In standalone mode the driver walks the module in dependency order
-//     with one shared store, so by the time a package is analyzed every
-//     summary of its dependencies is already present.
-//   - In `go vet -vettool` mode each package runs in its own process; the
-//     store is seeded from the .vetx fact files of the dependencies
-//     (cfg.PackageVetx) and the merged store is written to cfg.VetxOutput.
-//     cmd/go caches those files keyed by the package's export data, which is
-//     what keeps the interprocedural analyzers incremental.
+// whole-program analysis. Under `go vet -vettool` each package runs in its
+// own process: the store is seeded from the .vetx fact files of the
+// dependencies (cfg.PackageVetx) and the merged store is written to
+// cfg.VetxOutput. cmd/go caches those files keyed by the package's export
+// data, which is what keeps the interprocedural analyzers incremental.
 //
 // Keys are "analyzer\x00name" where name is normally a *types.Func FullName
 // (e.g. "(*hugeomp/internal/cache.Bus).AccessLines") but may be any string
@@ -64,7 +59,7 @@ func (s *FactStore) Set(analyzer, name string, v any) {
 }
 
 // Range calls fn for every fact recorded under analyzer, in sorted name
-// order (deterministic across runs and drivers).
+// order (deterministic across runs).
 func (s *FactStore) Range(analyzer string, fn func(name string, raw json.RawMessage)) {
 	if s == nil {
 		return

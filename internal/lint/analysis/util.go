@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Callee resolves the *types.Func a call expression invokes (package
@@ -46,4 +47,17 @@ func TypeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
+}
+
+// InScope reports whether the package path matches one of the scope
+// entries: an entry matches a path equal to it or ending in "/"+entry, so
+// "internal/npb" selects hugeomp/internal/npb and a corpus package "a"
+// selects itself.
+func InScope(path string, scope []string) bool {
+	for _, p := range scope {
+		if path == p || strings.HasSuffix(path, "/"+p) {
+			return true
+		}
+	}
+	return false
 }

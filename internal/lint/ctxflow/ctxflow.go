@@ -42,12 +42,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Packages limits reporting to the kernel packages (summaries are computed
-// everywhere). The driver exposes it as -ctxflow.packages.
+// everywhere); see analysis.InScope for the matching rule.
 var Packages = []string{"internal/npb"}
 
 // RTType names the runtime type whose methods delimit regions and
 // checkpoints, matched as a "pkg.Type" suffix of the receiver's qualified
-// name. The driver exposes it as -ctxflow.rttype.
+// name.
 var RTType = "omp.RT"
 
 // RegionMethods are the RTType methods that issue simulated parallel work.
@@ -55,15 +55,6 @@ var RegionMethods = "Serial,Parallel,ParallelFor,ParallelForReduce,ParallelSecti
 
 // CheckpointMethods are the RTType methods that observe cancellation.
 var CheckpointMethods = "Checkpoint"
-
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
 
 // Summary is the per-function fact.
 type Summary struct {
@@ -105,7 +96,7 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	sums := interproc.Solve(pass, g, an)
 
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), Packages) {
 		return nil, nil
 	}
 

@@ -1,26 +1,19 @@
-// Package determinism enforces the simulator's bit-determinism contract:
-// same seed → identical counters. In the simulator packages it forbids the
-// three classic sources of run-to-run variation:
-//
-//  1. wall-clock reads (time.Now and friends) — simulated time comes from
-//     the cost model, never from the host;
-//  2. the global math/rand generators — randomness must flow from a seeded
-//     *rand.Rand owned by the run so replays are exact;
-//  3. scheduler/host-state queries (runtime.NumGoroutine and friends) —
-//     thread counts come from the simulated machine config;
-//  4. iteration over a map in an order-sensitive way. A map range is allowed
-//     only when the loop provably feeds an order-insensitive sink (integer
-//     accumulation, min/max folds, writes keyed by the iteration key,
-//     delete) or the collect-then-sort idiom (append into a slice that is
-//     sorted later in the same function).
+// Package determinism enforces the order half of the simulator's
+// bit-determinism contract (same seed → identical counters): in the
+// simulator packages, iteration over a map must not be order-sensitive. A
+// map range is allowed only when the loop provably feeds an
+// order-insensitive sink (integer accumulation, min/max folds, writes keyed
+// by the iteration key, delete) or the collect-then-sort idiom (append into
+// a slice that is sorted later in the same function).
 //
 // Floating-point accumulation across a map range is flagged even though it
 // "only" perturbs low bits: FP addition does not commute, and the NPB
 // verification thresholds assume bit-identical replays.
 //
-// The source-call table is shared with the interprocedural dettaint
-// analyzer (dettaint.SourceCall): determinism flags the direct call sites,
-// dettaint follows laundered values across functions into the sinks.
+// The host-state half of the contract (wall-clock reads, the global
+// math/rand generators, scheduler queries) is the dettaint analyzer's, which
+// reports both the direct call sites and the values laundered into sinks.
+// The map-range rule binds the same packages: dettaint.Packages.
 package determinism
 
 import (
@@ -28,7 +21,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"hugeomp/internal/lint/analysis"
 	"hugeomp/internal/lint/dettaint"
@@ -36,48 +28,19 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand, and order-sensitive map iteration " +
-		"in the simulator packages (bit-determinism contract)",
-	Run: run,
-}
-
-// Packages limits the analyzer to the packages whose determinism the replay
-// and audit machinery depends on. An entry matches a package whose import
-// path equals it or ends with "/"+it. The driver exposes it as
-// -determinism.packages.
-var Packages = []string{
-	"internal/cache",
-	"internal/machine",
-	"internal/tlb",
-	"internal/pagetable",
-	"internal/omp",
-	"internal/profile",
-	"internal/stats",
-	"internal/check",
-	"internal/npb",
-}
-
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
+	Doc:  "forbid order-sensitive map iteration in the simulator packages (bit-determinism contract)",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), dettaint.Packages) {
 		return nil, nil
 	}
 	analysis.WithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			checkCall(pass, n)
-		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			if t := pass.TypesInfo.TypeOf(rs.X); t != nil {
 				if _, ok := t.Underlying().(*types.Map); ok {
-					checkMapRange(pass, n, enclosingBody(stack))
+					checkMapRange(pass, rs, enclosingBody(stack))
 				}
 			}
 		}
@@ -98,28 +61,6 @@ func enclosingBody(stack []ast.Node) *ast.BlockStmt {
 		}
 	}
 	return nil
-}
-
-// checkCall flags direct source calls in simulator packages, using the
-// source table shared with the interprocedural dettaint analyzer so the two
-// passes can never disagree about what a source is.
-func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	kind, _, ok := dettaint.SourceCall(pass.TypesInfo, call)
-	if !ok {
-		return
-	}
-	fn := analysis.Callee(pass.TypesInfo, call)
-	switch kind {
-	case dettaint.WallClock:
-		pass.Reportf(call.Pos(),
-			"wall-clock read time.%s in a simulator package: simulated time must come from the cost model, not the host clock", fn.Name())
-	case dettaint.GlobalRand:
-		pass.Reportf(call.Pos(),
-			"global %s.%s in a simulator package: use a seeded *rand.Rand owned by the run so replays are bit-identical", fn.Pkg().Name(), fn.Name())
-	case dettaint.SchedQuery:
-		pass.Reportf(call.Pos(),
-			"scheduler/host-state read runtime.%s in a simulator package: thread counts come from the simulated machine config, not the host", fn.Name())
-	}
 }
 
 // mapLoop analyses one `for ... range m` over a map for order sensitivity.

@@ -5,16 +5,13 @@ import (
 
 	"hugeomp/internal/lint/analysistest"
 	"hugeomp/internal/lint/determinism"
+	"hugeomp/internal/lint/dettaint"
 )
 
 func TestDeterminism(t *testing.T) {
-	defer func(old []string) { determinism.Packages = old }(determinism.Packages)
-	determinism.Packages = []string{"a"}
+	defer func(old []string) { dettaint.Packages = old }(dettaint.Packages)
+	dettaint.Packages = []string{"a"}
 
-	// Corpus "a" holds one true positive and one true negative per rule.
+	// Corpus "a" holds true positives and negatives of the map-range rule.
 	analysistest.Run(t, analysistest.TestData(), determinism.Analyzer, "a")
-
-	// A package outside the simulator set is exempt even though it reads
-	// the wall clock (the bench harness does, on purpose).
-	analysistest.Run(t, analysistest.TestData(), determinism.Analyzer, "outofscope")
 }

@@ -1,32 +1,7 @@
 // Corpus for the determinism analyzer: true positives.
 package a
 
-import (
-	"fmt"
-	"math/rand"
-	"runtime"
-	"time"
-)
-
-func clocks() time.Duration {
-	t := time.Now()      // want `wall-clock read time\.Now`
-	return time.Since(t) // want `wall-clock read time\.Since`
-}
-
-func globalRand() int64 {
-	return rand.Int63() // want `global rand\.Int63`
-}
-
-func schedState() int {
-	return runtime.NumGoroutine() // want `scheduler/host-state read runtime\.NumGoroutine`
-}
-
-// Seeded generators are deterministic given the seed: constructors are not
-// sources, and draws from an owned *rand.Rand are the sanctioned shape.
-func seededLocal() int64 {
-	rng := rand.New(rand.NewSource(7))
-	return rng.Int63()
-}
+import "fmt"
 
 func floatAccum(m map[int]float64) float64 {
 	var sum float64

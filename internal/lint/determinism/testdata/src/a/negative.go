@@ -2,17 +2,7 @@
 // order-insensitive sinks and sorted-key idioms must not be flagged.
 package a
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-// A seeded generator owned by the caller is the sanctioned randomness.
-func seeded(r *rand.Rand) int64 { return r.Int63() }
-
-// Pure duration arithmetic reads no clock.
-func scale(d time.Duration) time.Duration { return 2 * d }
+import "sort"
 
 // Collect-then-sort: the canonical sorted-key iteration.
 func sortedKeys(m map[int]uint64) []int {

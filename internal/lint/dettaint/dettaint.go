@@ -1,17 +1,21 @@
-// Package dettaint is the interprocedural determinism-taint analyzer. The
-// simulator's bit-determinism contract (same seed → identical counters,
-// docs/ROBUSTNESS.md) is enforced syntactically by the determinism analyzer;
-// dettaint closes the laundering hole: a wall-clock read stashed in a helper's
-// return value, threaded through a struct field, and finally added to a
-// profile counter three calls later is invisible to any single-function check.
+// Package dettaint enforces the host-state half of the simulator's
+// bit-determinism contract (same seed → identical counters,
+// docs/ROBUSTNESS.md). In the simulator packages it reports every direct
+// source call — wall-clock reads (simulated time comes from the cost model),
+// the global math/rand generators (randomness flows from a seeded *rand.Rand
+// owned by the run) and scheduler queries (thread counts come from the
+// simulated machine config) — and, interprocedurally, closes the laundering
+// hole: a wall-clock read stashed in a helper's return value, threaded
+// through a struct field, and finally added to a profile counter three calls
+// later is invisible to any single-function check.
 //
-// The model is flow-insensitive, object-granular taint:
+// The taint model is flow-insensitive and object-granular:
 //
 //   - Sources are calls that observe host state: time.Now/Since/Until, the
 //     global math/rand generators, runtime scheduling queries
-//     (runtime.NumGoroutine, GOMAXPROCS, NumCPU) — see SourceCall, which the
-//     determinism analyzer shares — plus map-iteration key/value variables
-//     (iteration order is randomized per run).
+//     (runtime.NumGoroutine, GOMAXPROCS, NumCPU) — see sourceCall — plus
+//     map-iteration key/value variables (iteration order is randomized per
+//     run).
 //   - Taint propagates through assignments, struct fields and composite
 //     literals, arithmetic, and calls: each function's summary records
 //     whether its results carry source taint (Ret, with the chain), which
@@ -46,16 +50,16 @@ const name = "dettaint"
 
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "interprocedural determinism taint: track wall-clock, global math/rand, scheduler-state and " +
-		"map-order values through returns, parameters and struct fields into profile counters and " +
-		"memoization keys, and report the full source→sink path",
+	Doc: "forbid wall-clock reads, global math/rand and scheduler queries in the simulator packages, " +
+		"and track such values and map order interprocedurally through returns, parameters and struct " +
+		"fields into profile counters and memoization keys, reporting the full source→sink path",
 	Run: run,
 }
 
-// Packages limits *reporting* to the packages bound by the determinism
-// contract (summaries are computed everywhere so taint can cross any
-// boundary). Same matching rules as determinism.Packages. The driver exposes
-// it as -dettaint.packages.
+// Packages lists the packages bound by the determinism contract: both the
+// direct-call and taint findings and the determinism analyzer's map-range
+// rule report only there (summaries are computed everywhere so taint can
+// cross any boundary). See analysis.InScope for the matching rule.
 var Packages = []string{
 	"internal/cache",
 	"internal/machine",
@@ -71,33 +75,22 @@ var Packages = []string{
 }
 
 // SinkTypes is the comma-separated list of named types whose methods are
-// determinism-sensitive sinks (any tainted argument is a violation). The
-// driver exposes it as -dettaint.sinktypes.
+// determinism-sensitive sinks (any tainted argument is a violation).
 var SinkTypes = "Counters,OSCounters,ShardedCounters"
 
 // SinkFuncs is the comma-separated list of sink functions, matched as
-// "pkg.Func" suffixes of the full name. The driver exposes it as
-// -dettaint.sinkfuncs.
+// "pkg.Func" suffixes of the full name.
 var SinkFuncs = "memo.KeyOf,npb.RunKey"
 
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
+// --- source table ----------------------------------------------------------
 
-// --- shared source table ----------------------------------------------------
-
-// SourceKind classifies a non-determinism source call.
-type SourceKind int
+// sourceKind classifies a non-determinism source call.
+type sourceKind int
 
 const (
-	WallClock  SourceKind = iota // time.Now / Since / Until
-	GlobalRand                   // package-level math/rand generator use
-	SchedQuery                   // runtime scheduling / host state queries
+	wallClock  sourceKind = iota // time.Now / Since / Until
+	globalRand                   // package-level math/rand generator use
+	schedQuery                   // runtime scheduling / host state queries
 )
 
 // wallClockFuncs are the time package functions that read the host clock.
@@ -113,10 +106,9 @@ var randConstructors = map[string]bool{
 // machine to machine).
 var schedFuncs = map[string]bool{"NumGoroutine": true, "NumCPU": true, "GOMAXPROCS": true}
 
-// SourceCall reports whether call is a non-determinism source, with its kind
-// and a human-readable description. The determinism analyzer shares this
-// table so the two passes can never disagree about what a source is.
-func SourceCall(info *types.Info, call *ast.CallExpr) (SourceKind, string, bool) {
+// sourceCall reports whether call is a non-determinism source, with its kind
+// and a human-readable description.
+func sourceCall(info *types.Info, call *ast.CallExpr) (sourceKind, string, bool) {
 	fn := analysis.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return 0, "", false
@@ -128,15 +120,15 @@ func SourceCall(info *types.Info, call *ast.CallExpr) (SourceKind, string, bool)
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
-			return WallClock, "time." + fn.Name() + "() (wall clock)", true
+			return wallClock, "time." + fn.Name() + "() (wall clock)", true
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {
-			return GlobalRand, fn.Pkg().Name() + "." + fn.Name() + "() (global math/rand)", true
+			return globalRand, fn.Pkg().Name() + "." + fn.Name() + "() (global math/rand)", true
 		}
 	case "runtime":
 		if schedFuncs[fn.Name()] {
-			return SchedQuery, "runtime." + fn.Name() + "() (scheduler/host state)", true
+			return schedQuery, "runtime." + fn.Name() + "() (scheduler/host state)", true
 		}
 	}
 	return 0, "", false
@@ -199,9 +191,10 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	sums := interproc.Solve(pass, g, an)
 
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), Packages) {
 		return nil, nil
 	}
+	reportDirect(pass)
 
 	final := func(fn *types.Func) Summary {
 		if s, ok := sums[fn]; ok {
@@ -234,6 +227,33 @@ func run(pass *analysis.Pass) (any, error) {
 		w.collect(n.Decl.Body, emit)
 	}
 	return nil, nil
+}
+
+// reportDirect flags every direct source call, sunk or not, including those
+// in package-level initializers.
+func reportDirect(pass *analysis.Pass) {
+	analysis.Preorder(pass.Files, func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		kind, _, ok := sourceCall(pass.TypesInfo, call)
+		if !ok {
+			return
+		}
+		fn := analysis.Callee(pass.TypesInfo, call)
+		switch kind {
+		case wallClock:
+			pass.Reportf(call.Pos(),
+				"wall-clock read time.%s in a simulator package: simulated time must come from the cost model, not the host clock", fn.Name())
+		case globalRand:
+			pass.Reportf(call.Pos(),
+				"global %s.%s in a simulator package: use a seeded *rand.Rand owned by the run so replays are bit-identical", fn.Pkg().Name(), fn.Name())
+		case schedQuery:
+			pass.Reportf(call.Pos(),
+				"scheduler/host-state read runtime.%s in a simulator package: thread counts come from the simulated machine config, not the host", fn.Name())
+		}
+	})
 }
 
 // --- per-function walk ------------------------------------------------------
@@ -521,7 +541,7 @@ func (w *walker) evalCall(call *ast.CallExpr) taint {
 			return taint{}
 		}
 	}
-	if _, desc, ok := SourceCall(info, call); ok {
+	if _, desc, ok := sourceCall(info, call); ok {
 		return taint{chain: []string{w.frame(call, desc)}}
 	}
 	targets := callgraph.ResolveCall(w.pass, w.cands, call)

@@ -16,4 +16,8 @@ func TestDetTaint(t *testing.T) {
 	dettaint.SinkFuncs = "a.Key"
 
 	analysistest.Run(t, analysistest.TestData(), dettaint.Analyzer, "a")
+
+	// A package outside the simulator set is exempt even though it reads
+	// the wall clock.
+	analysistest.Run(t, analysistest.TestData(), dettaint.Analyzer, "outofscope")
 }

@@ -1,5 +1,7 @@
 // Corpus for the dettaint analyzer. The test configures
-// SinkTypes = "Counters" and SinkFuncs = "a.Key".
+// SinkTypes = "Counters" and SinkFuncs = "a.Key". Every direct source call
+// is reported at the call, sunk or not; lines that also feed a sink carry a
+// second want for the taint path.
 package a
 
 import (
@@ -34,12 +36,18 @@ func goodAdd(c *Counters, cycles int64) {
 	c.Add(42)
 }
 
-// A seeded *rand.Rand owned by the run is deterministic: method draws are
-// not sources (only the package-level generator is).
+// A seeded *rand.Rand owned by the run is deterministic: constructors and
+// method draws are not sources (only the package-level generator is).
 func seededRand(c *Counters) {
 	rng := rand.New(rand.NewSource(7))
 	c.Add(rng.Int63())
 }
+
+// A seeded generator owned by the caller is the sanctioned randomness.
+func seeded(r *rand.Rand) int64 { return r.Int63() }
+
+// Pure duration arithmetic reads no clock.
+func scale(d time.Duration) time.Duration { return 2 * d }
 
 // context.Context values are sanitized: service deadline contexts carry wall
 // clock by design and never feed simulation results.
@@ -49,25 +57,26 @@ func viaContext(c *Counters, ctx context.Context) {
 	c.Add(0)
 }
 
-// Wall clock that stays in diagnostics (no sink contact) is not dettaint's
-// business; the determinism analyzer owns the per-package scope rule.
-func timedButUnsunk() time.Duration {
-	start := time.Now()
-	return time.Since(start)
+// --- direct source calls -----------------------------------------------------
+
+// A wall-clock read is reported at the call even with no sink contact.
+func clocks() time.Duration {
+	t := time.Now()      // want `wall-clock read time\.Now`
+	return time.Since(t) // want `wall-clock read time\.Since`
 }
 
 // --- direct source → sink ---------------------------------------------------
 
 func direct(c *Counters) {
-	c.Add(time.Now().UnixNano()) // want `non-deterministic value flows into \(\*a\.Counters\)\.Add.*time\.Now`
+	c.Add(time.Now().UnixNano()) // want `non-deterministic value flows into \(\*a\.Counters\)\.Add.*time\.Now` `wall-clock read time\.Now`
 }
 
 func schedState(c *Counters) {
-	c.Add(int64(runtime.NumGoroutine())) // want `runtime\.NumGoroutine.*scheduler`
+	c.Add(int64(runtime.NumGoroutine())) // want `runtime\.NumGoroutine.*scheduler` `scheduler/host-state read runtime\.NumGoroutine`
 }
 
 func globalRand(c *Counters) {
-	c.Add(rand.Int63()) // want `global math/rand`
+	c.Add(rand.Int63()) // want `global math/rand` `global rand\.Int63`
 }
 
 // --- laundering through a helper return value -------------------------------
@@ -75,7 +84,7 @@ func globalRand(c *Counters) {
 // stamp launders the wall clock through a return value; its summary carries
 // the source chain.
 func stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `wall-clock read time\.Now`
 }
 
 func laundered(c *Counters) {
@@ -134,7 +143,7 @@ func goodKey(n int64) int64 {
 }
 
 func badKey() int64 {
-	return Key(time.Now().UnixNano()) // want `flows into a\.Key.*time\.Now`
+	return Key(time.Now().UnixNano()) // want `flows into a\.Key.*time\.Now` `wall-clock read time\.Now`
 }
 
 // --- keyed map rebuild ------------------------------------------------------
@@ -154,7 +163,7 @@ func rebuild(c *Counters, src map[int]int64) {
 func rebuildStamped(c *Counters, src map[int]int64) {
 	dst := make(map[int]int64, len(src))
 	for k := range src {
-		dst[k] = time.Now().UnixNano()
+		dst[k] = time.Now().UnixNano() // want `wall-clock read time\.Now`
 	}
 	c.Add(dst[0]) // want `non-deterministic value flows into \(\*a\.Counters\)\.Add.*time\.Now`
 }

@@ -1,8 +1,7 @@
 // Package lint ties the simlint pieces together: the analyzer registry and
 // the per-package runner that applies analyzers and the //simlint:ignore
-// suppression rules. Both driver modes of cmd/simlint (standalone and
-// `go vet -vettool`) run packages through this code, so suppressions,
-// reason-checking and fact propagation behave identically everywhere.
+// suppression rules. cmd/simlint runs every package go vet hands it through
+// this code.
 package lint
 
 import (
@@ -19,7 +18,6 @@ import (
 	"hugeomp/internal/lint/determinism"
 	"hugeomp/internal/lint/dettaint"
 	"hugeomp/internal/lint/directive"
-	"hugeomp/internal/lint/lockdiscipline"
 	"hugeomp/internal/lint/lockorder"
 	"hugeomp/internal/lint/padding"
 	"hugeomp/internal/lint/panicboundary"
@@ -32,7 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		dettaint.Analyzer,
-		lockdiscipline.Analyzer,
 		lockorder.Analyzer,
 		ctxflow.Analyzer,
 		atomicfield.Analyzer,
@@ -58,8 +55,8 @@ type Diagnostic struct {
 	SuppressReason string
 }
 
-// Unit is the package material the runner needs (a subset of load.Package,
-// shaped so the vettool mode can fill it without the loader).
+// Unit is the package material the runner needs, as the vettool protocol
+// supplies it.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -78,8 +75,8 @@ type Unit struct {
 // Diagnostics come back in file/line order.
 //
 // Test files are excluded globally: the simlint contracts bind simulation
-// results, not test diagnostics, and `go vet` (which runs analyzers on test
-// variants) must agree finding-for-finding with the standalone runner.
+// results, not test diagnostics, and `go vet` hands the tool each package's
+// test variant, whose files include the _test.go ones.
 func Run(u *Unit, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	files := u.Files[:0:0]
 	for _, f := range u.Files {

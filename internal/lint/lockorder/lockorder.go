@@ -1,7 +1,5 @@
 // Package lockorder infers held-lock sets across call edges and checks the
-// simulator's documented lock hierarchy interprocedurally. It replaces the
-// old syntactic "no mutex held across Bus.Access*" rule of lockdiscipline
-// with a real acquisition-graph detector:
+// simulator's documented lock hierarchy interprocedurally:
 //
 //   - Every function gets a summary of the lock classes it may acquire
 //     (directly or through calls), with a representative call chain per
@@ -20,23 +18,25 @@
 //     a cycle assembled from acquisitions in different packages (A → B
 //     here, B → A there) is detected even when every package looks locally
 //     consistent.
+//   - In every package, a function marked //simlint:hotpath may not defer a
+//     mutex unlock: defer costs tens of nanoseconds per call on the
+//     per-access path, which is why the hot functions unlock explicitly.
 //
 // The lock identity model matches the simulator's: a lock's class is
 // "OwnerType.field" for a mutex stored in a named struct (Context.l2Mu,
 // busShard.mu, Cache.mu), and rank lookup falls back from the qualified
 // name to the bare owner type, so Order may rank whole types or single
-// fields. The shared-L2 serialisation mutex, which previously needed a
-// //simlint:ignore on the bus rule, is now simply ranked above the bus
-// (Context.l2Mu comes first in Order) — the analyzer proves the hierarchy
-// instead of suppressing it.
+// fields. The shared-L2 serialisation mutex is ranked above the bus
+// (Context.l2Mu comes first in Order), so the analyzer proves that nesting
+// legal instead of suppressing it.
 //
-// Held-set tracking inside a function is the same source-order walk the
-// old lockdiscipline used (exactly enough for the simulator's straight-line
-// locking idioms); function literals are analyzed with an empty held set
-// (they may run on another goroutine) but their acquisitions fold into the
-// enclosing function's summary, which is the conservative direction.
-// Calls through function-typed values are invisible to the graph; the
-// simulator's locking never passes lock-taking closures across packages.
+// Held-set tracking inside a function is a source-order walk (exactly
+// enough for the simulator's straight-line locking idioms); function
+// literals are analyzed with an empty held set (they may run on another
+// goroutine) but their acquisitions fold into the enclosing function's
+// summary, which is the conservative direction. Calls through
+// function-typed values are invisible to the graph; the simulator's locking
+// never passes lock-taking closures across packages.
 package lockorder
 
 import (
@@ -50,6 +50,7 @@ import (
 
 	"hugeomp/internal/lint/analysis"
 	"hugeomp/internal/lint/callgraph"
+	"hugeomp/internal/lint/directive"
 	"hugeomp/internal/lint/interproc"
 )
 
@@ -59,7 +60,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "interprocedural lock-order checking: infer acquired-lock summaries over the call graph, " +
 		"report rank inversions, same-class double acquisitions, unranked locks held across ranked " +
-		"acquisitions, and cross-package acquisition cycles, each with its full call chain",
+		"acquisitions, and cross-package acquisition cycles, each with its full call chain; " +
+		"forbid deferred mutex unlocks in //simlint:hotpath functions",
 	Run: run,
 }
 
@@ -68,14 +70,13 @@ var Analyzer = &analysis.Analyzer{
 // qualified mutex field ("Context.l2Mu") or a bare owner type ("Cache",
 // matching any mutex field it owns). Snapshot (fork template freeze) and
 // SpinLock (simulated lock word) sit above the memory system: both hold
-// their mutex while driving cache traffic, never the reverse. The driver
-// exposes it as -lockorder.order.
+// their mutex while driving cache traffic, never the reverse.
 var Order = "Snapshot, SpinLock < Context.l2Mu < busShard < Cache, cacheFields"
 
 // Packages limits *reporting* to the packages that participate in the
 // simulator's lock hierarchy (summaries and edges are still computed
-// everywhere so chains can cross any boundary). Same matching rules as
-// determinism.Packages. The driver exposes it as -lockorder.packages.
+// everywhere so chains can cross any boundary); see analysis.InScope for
+// the matching rule. The hot-path rule applies in every package.
 var Packages = []string{
 	"internal/cache",
 	"internal/machine",
@@ -84,15 +85,6 @@ var Packages = []string{
 	"internal/omp",
 	"internal/shmem",
 	"internal/npb",
-}
-
-func inScope(path string) bool {
-	for _, p := range Packages {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
 }
 
 // Summary is the per-function fact: the lock classes the function may
@@ -136,6 +128,7 @@ type localEdge struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	checkHotpath(pass)
 	ranks := parseOrder(Order)
 	g := callgraph.Build(pass)
 	cands := callgraph.Candidates(pass.Pkg)
@@ -173,7 +166,7 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	interproc.Solve(pass, g, an)
 
-	if !inScope(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), Packages) {
 		// Out-of-scope packages contribute summaries and edges (exported
 		// below) but do not report.
 		exportEdges(pass, edges)
@@ -186,6 +179,34 @@ func run(pass *analysis.Pass) (any, error) {
 	checkCycles(pass, ranks, edges)
 	exportEdges(pass, edges)
 	return nil, nil
+}
+
+// checkHotpath reports `defer mu.Unlock()` in //simlint:hotpath functions.
+// Function literals run in their own context (typically a slow-path closure
+// handed elsewhere), so the directive binds only the declared body.
+func checkHotpath(pass *analysis.Pass) {
+	w := &walker{pass: pass}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !directive.Has(directive.Func(fd), "hotpath") {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					return false
+				case *ast.DeferStmt:
+					if _, kind := w.mutexCall(n.Call); kind == "unlock" {
+						pass.Reportf(n.Pos(),
+							"defer %s() in a //simlint:hotpath function: hot-path functions unlock explicitly (defer costs on every simulated access)",
+							renderExpr(n.Call.Fun))
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 func exportEdges(pass *analysis.Pass, edges []localEdge) {

@@ -16,3 +16,9 @@ func TestLockOrder(t *testing.T) {
 
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "a")
 }
+
+// TestHotpath runs the hot-path defer rule on a package outside
+// lockorder.Packages: unlike the ordering rules, it binds every package.
+func TestHotpath(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "hotpath")
+}

@@ -1,6 +1,6 @@
-// Corpus for the lockdiscipline analyzer: the hot-path defer rule.
-// (Lock ordering and cross-call discipline live in the lockorder corpus.)
-package a
+// Corpus for lockorder's hot-path defer rule. The test leaves this package
+// outside lockorder.Packages: the rule binds every package.
+package hotpath
 
 import "sync"
 
